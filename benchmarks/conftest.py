@@ -11,10 +11,11 @@ output capture.
 The harness also records wall times -- the expensive builds (traffic,
 census, cloud attribution) via the session fixtures and every bench's
 analysis+render via the pytest report hook -- and writes them to
-``benchmarks/results/BENCH_results.json`` at session end.  Committed (or
-CI-archived) snapshots of that file give every future PR a perf
-trajectory to compare against; see the README's Performance section for
-how to read it.
+``benchmarks/results/BENCH_suite.json`` at session end.  That file is
+ignored by git: a tier-1 run must never rewrite a committed file, and the
+committed ``BENCH_results.json`` belongs to ``perf_smoke.py`` and
+``serve_load.py``.  See the README's Performance section for how to read
+both.
 
 Scale note: the paper measures 273 days of traffic and crawls 100k sites;
 the bench scale (154 days, 4000 sites) reproduces every qualitative shape
@@ -39,12 +40,12 @@ from repro.api import Study, StudyConfig
 T = TypeVar("T")
 
 RESULTS_DIR = Path(__file__).parent / "results"
-BENCH_RESULTS = RESULTS_DIR / "BENCH_results.json"
+BENCH_SUITE = RESULTS_DIR / "BENCH_suite.json"
 
 #: One session at the bench scale; every bench shares its builds.
 SESSION = Study(StudyConfig())
 
-#: Phase name -> wall seconds, written to BENCH_results.json at exit.
+#: Phase name -> wall seconds, written to BENCH_suite.json at exit.
 PHASES: dict[str, float] = {}
 
 #: Historical reference: the record-loop implementation measured on the
@@ -160,4 +161,4 @@ def pytest_sessionfinish(session, exitstatus):
         "total_wall_s": round(sum(PHASES.values()), 3),
         "reference": PRE_COLUMNAR_BASELINE,
     }
-    BENCH_RESULTS.write_text(json.dumps(payload, indent=2) + "\n")
+    BENCH_SUITE.write_text(json.dumps(payload, indent=2) + "\n")

@@ -185,10 +185,11 @@ def prime_caches(layer_values: dict[str, dict[tuple, Any]]) -> None:
     """Seed the process-wide caches with already-built layers.
 
     ``layer_values`` maps a layer name (a key of :data:`_ALL_CACHES`)
-    to ``{cache_key: built_value}`` entries.  Used by the whatif sweep
-    workers: the parent ships its baseline universes once per worker so
-    a 20-scenario sweep fanned over processes still rebuilds zero
-    untouched layers.
+    to ``{cache_key: built_value}`` entries.  Used in both directions
+    of the whatif sweep: the parent ships its baseline universes once
+    per worker so a 20-scenario sweep fanned over processes still
+    rebuilds zero untouched layers, and it files the overlay sentinel
+    feeds the workers return so a later event ranking rebuilds none.
     """
     for layer, entries in layer_values.items():
         try:
@@ -211,8 +212,9 @@ class StudyConfig:
 
     ``parallel`` controls the process-pool fan-outs (traffic generation
     and observatory probe rounds): ``None`` (default) auto-enables a
-    pool on multi-core machines, ``False`` forces the sequential path,
-    an ``int`` pins the worker count.  It does not key the caches --
+    pool when the process may run on more than one CPU (its affinity
+    mask), ``False`` forces the sequential path, an ``int`` pins the
+    worker count.  It does not key the caches --
     parallel and sequential builds are bit-identical (every residence
     and every vantage point draws from its own seeded RNG substream), so
     they share cache entries.
@@ -453,6 +455,12 @@ class Study:
                 parallel=self.config.parallel,
             ),
         )
+
+    def _traffic_signal_series(self) -> tuple:
+        """The sentinel's traffic-derived ``(heavy_hitters, usage)`` series."""
+        from repro.sentinel.series import traffic_signal_series
+
+        return traffic_signal_series(self.traffic)
 
     def _timed_build(self, layer: str, build: Callable[[], Any]) -> Any:
         """Count and trace one actual layer build (the only build path).

@@ -19,8 +19,12 @@ from repro.sentinel.config import (
     severity_rank,
 )
 from repro.sentinel.detect import SentinelEvent, detect_series
-from repro.sentinel.scan import SentinelFeed, run_sentinel
-from repro.sentinel.series import SignalSeries, build_signal_series
+from repro.sentinel.scan import SentinelFeed, run_sentinel, scan_series
+from repro.sentinel.series import (
+    SignalSeries,
+    build_signal_series,
+    traffic_signal_series,
+)
 
 __all__ = [
     "DEFAULT_SENTINEL_CONFIG",
@@ -34,5 +38,7 @@ __all__ = [
     "build_signal_series",
     "detect_series",
     "run_sentinel",
+    "scan_series",
     "severity_rank",
+    "traffic_signal_series",
 ]

@@ -1,11 +1,13 @@
 """The sentinel scan: series -> detector -> deterministic event feed.
 
 :func:`run_sentinel` is the build function behind the ``"sentinel"``
-session layer (``study.sentinel``): it extracts the five signal series
-from the already-built traffic and observatory universes, runs the
-deviation detector over each, and assembles a :class:`SentinelFeed`
-sorted by (day, signal, scope).  Everything downstream of the universes
-is pure arithmetic, so the same seed yields a byte-identical feed.
+session layer (``study.sentinel``).  It runs in two steps:
+:func:`~repro.sentinel.series.build_signal_series` extracts the five
+signal series from the already-built traffic and observatory universes,
+then :func:`scan_series` runs the deviation detector over each and
+assembles a :class:`SentinelFeed` sorted by (day, signal, scope).
+Everything downstream of the universes is pure arithmetic, so the same
+seed yields a byte-identical feed.
 
 Telemetry: each scan observes ``sentinel_scan_seconds`` and bumps
 ``sentinel_events_total{signal,severity}`` per event.  Every
@@ -18,7 +20,7 @@ zeros, not as a missing metric.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from repro.sentinel.config import (
     DEFAULT_SENTINEL_CONFIG,
@@ -27,7 +29,7 @@ from repro.sentinel.config import (
     SentinelConfig,
 )
 from repro.sentinel.detect import SentinelEvent, detect_series
-from repro.sentinel.series import build_signal_series
+from repro.sentinel.series import SignalSeries, build_signal_series
 from repro.telemetry import registry as _metrics_registry, span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -81,30 +83,39 @@ class SentinelFeed:
         return tuple(event for event in self.events if event.day >= day)
 
 
-def run_sentinel(
-    study: "Study", config: SentinelConfig | None = None
+def scan_series(
+    series_list: Sequence[SignalSeries],
+    days: int,
+    config: SentinelConfig | None = None,
 ) -> SentinelFeed:
-    """Scan one study's adoption series for significant deviations."""
+    """Scan built signal series into a feed (pure arithmetic)."""
     model = DEFAULT_SENTINEL_CONFIG if config is None else config
-    seed_zero_samples()
-    with span("sentinel:scan") as scan_span:
-        series_list = build_signal_series(study)
-        events: list[SentinelEvent] = []
-        points = 0
-        scopes: set[str] = set()
-        for series in series_list:
-            points += int(series.values.size)
-            scopes.update(series.scopes)
-            events.extend(detect_series(series, model))
-        events.sort(key=lambda event: (event.day, event.signal, event.scope))
-    _SCAN_SECONDS.observe(scan_span.duration_s)
-    for event in events:
-        _EVENTS_TOTAL.inc(signal=event.signal, severity=event.severity)
+    events: list[SentinelEvent] = []
+    points = 0
+    scopes: set[str] = set()
+    for series in series_list:
+        points += int(series.values.size)
+        scopes.update(series.scopes)
+        events.extend(detect_series(series, model))
+    events.sort(key=lambda event: (event.day, event.signal, event.scope))
     return SentinelFeed(
         events=tuple(events),
         signals=tuple(series.signal for series in series_list),
         scopes=tuple(sorted(scopes)),
         points=points,
-        days=study.config.days,
+        days=days,
         config=model,
     )
+
+
+def run_sentinel(
+    study: "Study", config: SentinelConfig | None = None
+) -> SentinelFeed:
+    """Scan one study's adoption series for significant deviations."""
+    seed_zero_samples()
+    with span("sentinel:scan") as scan_span:
+        feed = scan_series(build_signal_series(study), study.config.days, config)
+    _SCAN_SECONDS.observe(scan_span.duration_s)
+    for event in feed.events:
+        _EVENTS_TOTAL.inc(signal=event.signal, severity=event.severity)
+    return feed

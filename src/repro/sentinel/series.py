@@ -189,14 +189,26 @@ def heavy_hitter_signal(traffic: "ResidenceStudy") -> SignalSeries:
     )
 
 
+def traffic_signal_series(
+    traffic: "ResidenceStudy",
+) -> tuple[SignalSeries, SignalSeries]:
+    """The two traffic-derived signals, ``(heavy_hitters, usage)``.
+
+    The only part of a scan that reads the traffic study: a whatif
+    sweep computes it once for the baseline and hands it to every
+    overlay that leaves traffic alone.
+    """
+    return heavy_hitter_signal(traffic), usage_signal(traffic)
+
+
 def build_signal_series(study: "Study") -> tuple[SignalSeries, ...]:
     """All five signals for one study, in :data:`SIGNALS` feed order."""
     obs = study.observatory
-    traffic = study.traffic
+    heavy_hitters, usage = study._traffic_signal_series()
     return (
         availability_signal(obs),
-        heavy_hitter_signal(traffic),
+        heavy_hitters,
         readiness_signal(obs),
         takeoff_signal(obs),
-        usage_signal(traffic),
+        usage,
     )

@@ -142,11 +142,17 @@ def reset_pool_fallback_warnings() -> None:
 def resolve_worker_count(parallel: bool | int | None, num_tasks: int) -> int:
     """Worker-process count for a fan-out of ``num_tasks`` independent tasks.
 
-    ``None`` auto-detects (processes only on multi-core machines),
-    ``True`` uses every CPU, ``False``/``0``/``1`` force the sequential
-    path, and an ``int`` pins the count; never more workers than tasks.
+    ``None`` auto-detects (processes only when more than one CPU is
+    usable), ``True`` uses every usable CPU, ``False``/``0``/``1`` force
+    the sequential path, and an ``int`` pins the count; never more
+    workers than tasks.  Usable CPUs are this process's affinity mask
+    (which cpuset cgroups and ``taskset`` narrow) where the platform
+    has one, else ``os.cpu_count()``.
     """
-    cpus = os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
     if parallel is None:
         wanted = cpus if cpus > 1 else 1
     elif parallel is True:

@@ -14,7 +14,10 @@ layers are baseline cache *hits* and only the overlay's own sentinel
 scan (plus the layers the scenario genuinely perturbs) builds --
 ``BUILD_COUNTS`` for baseline traffic/census/observatory stay flat
 across a whole sweep, with overlay work accounted under
-``whatif:<layer>``.
+``whatif:<layer>``.  The delta sweep carries each overlay's feed back
+from its worker and files it in the sentinel cache, so a ranking over
+an already-swept grid rebuilds nothing: it is pure arithmetic over
+cached feeds.
 """
 
 from __future__ import annotations

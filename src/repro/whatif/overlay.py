@@ -49,6 +49,10 @@ class OverlayStudy(Study):
             share.
         scenario: a :class:`Scenario`, single intervention, spec string
             (``"nat64:DE+accelerate:2"``), or iterable of interventions.
+        traffic_series: the baseline's ``(heavy_hitters, usage)``
+            sentinel series; an overlay that leaves traffic alone scans
+            with them instead of reading the baseline traffic study
+            (which a sweep worker never holds).
     """
 
     def __init__(
@@ -57,6 +61,7 @@ class OverlayStudy(Study):
         scenario: Scenario | Intervention | str,
         *,
         log: Callable[[str], None] | None = None,
+        traffic_series: tuple | None = None,
     ) -> None:
         if isinstance(baseline, Study):
             if baseline._prebuilt:
@@ -75,6 +80,9 @@ class OverlayStudy(Study):
         #: re-derives cloud/dependencies/observatory via key cascade.
         self.perturbed: frozenset[str] = self.scenario.layers()
         self._sig = ("whatif", self.scenario.spec())
+        self._baseline_traffic_series = (
+            None if "traffic" in self.perturbed else traffic_series
+        )
 
     # -- key extension -----------------------------------------------------
 
@@ -107,6 +115,11 @@ class OverlayStudy(Study):
         # cascades even when the fleet itself is untouched.
         key = super()._observatory_key()
         return key + self._sig if "observatory" in self.perturbed else key
+
+    def _traffic_signal_series(self) -> tuple:
+        if self._baseline_traffic_series is not None:
+            return self._baseline_traffic_series
+        return super()._traffic_signal_series()
 
     # -- perturbed builders ------------------------------------------------
 

@@ -19,10 +19,21 @@ perturbs.  Every signal is a deterministic function of (config,
 scenario) and blocks are reassembled in grid order, so the parallel
 and sequential paths are bit-identical.
 
+Each scenario is one pass over its overlay: the same worker that
+computes the delta rows also scans the overlay's sentinel feed and
+returns it with them, and the parent files every feed under its
+overlay's sentinel cache key.  An event ranking
+(:func:`~repro.whatif.events.run_event_sweep`) after a sweep therefore
+rebuilds nothing -- every ``OverlayStudy(study, spec).sentinel`` is a
+cache hit.
+
 A worker never *touches* a baseline layer the scenario leaves alone:
 unperturbed readiness and usage come from the parent's
-:class:`BaselineSignals` snapshot, which is why the traffic study --
-by far the largest universe -- is never pickled at all.
+:class:`BaselineSignals` snapshot, and an overlay that leaves traffic
+alone scans with the baseline's ``heavy_hitters``/``usage`` series
+(shipped once per worker next to that snapshot), which is why the
+traffic study -- by far the largest universe -- is never pickled at
+all.
 """
 
 from __future__ import annotations
@@ -33,6 +44,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from repro.api.session import Study, StudyConfig, prime_caches
+from repro.sentinel.series import SignalSeries, traffic_signal_series
 from repro.util.procpool import map_in_pool, resolve_worker_count
 from repro.whatif.overlay import OverlayStudy
 from repro.whatif.spec import Scenario, as_scenario, default_sweep_grid
@@ -40,6 +52,11 @@ from repro.whatif.spec import Scenario, as_scenario, default_sweep_grid
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.crawler.records import CrawlDataset
     from repro.observatory.rounds import ObservatoryStudy
+    from repro.sentinel.scan import SentinelFeed
+
+#: The baseline's traffic-derived sentinel series, ``(heavy_hitters,
+#: usage)`` (:func:`~repro.sentinel.series.traffic_signal_series`).
+TrafficSeries = tuple[SignalSeries, SignalSeries]
 
 #: The columnar delta layout: one row per (scenario, country), each
 #: signal as a (baseline, overlay, delta) triple.
@@ -206,17 +223,22 @@ def scenario_block(
     scenario_index: int,
     scenario: Scenario,
     baseline: BaselineSignals,
-) -> np.ndarray:
-    """One scenario's DeltaFrame rows (runs the overlay).
+    traffic_series: TrafficSeries,
+) -> tuple[np.ndarray, "SentinelFeed"]:
+    """One scenario's DeltaFrame rows and sentinel feed (runs the overlay).
 
     Touches only the layers the scenario perturbs: unperturbed
-    readiness and usage are copied from the baseline snapshot rather
-    than read through the (possibly absent) baseline universes, so the
-    same code runs in the parent and in initializer-primed workers.
+    readiness and usage are copied from the baseline snapshot, and an
+    overlay that leaves traffic alone scans with the baseline's
+    ``traffic_series``, rather than reading the (possibly absent)
+    baseline universes -- so the same code runs in the parent and in
+    initializer-primed workers.  The feed resolves like any layer
+    (memory, then store, then one ``whatif:sentinel`` build written
+    behind).
     """
     from repro.observatory.analysis import traffic_v6_byte_fraction
 
-    overlay = OverlayStudy(config, scenario)
+    overlay = OverlayStudy(config, scenario, traffic_series=traffic_series)
     obs = overlay.observatory
     if obs.countries != baseline.countries:  # pragma: no cover - guarded by spec
         raise ValueError(
@@ -247,15 +269,16 @@ def scenario_block(
     block["base_usage"] = baseline.usage
     block["usage"] = usage
     block["d_usage"] = usage - baseline.usage
-    return block
+    return block, overlay.sentinel
 
 
 # -- the parallel fan-out ----------------------------------------------------
 
 #: What every sweep worker receives once (pool initializer): the
 #: baseline config, the cache entries to prime (census + observatory;
-#: never the traffic study), and the baseline signal snapshot.
-_SweepUniverse = tuple[StudyConfig, dict, BaselineSignals]
+#: never the traffic study), the baseline signal snapshot, and the
+#: baseline's traffic-derived sentinel series.
+_SweepUniverse = tuple[StudyConfig, dict, BaselineSignals, TrafficSeries]
 
 _WORKER_UNIVERSE: _SweepUniverse | None = None
 
@@ -267,18 +290,22 @@ def _init_sweep_worker(universe: _SweepUniverse) -> None:
     prime_caches(universe[1])
 
 
-def _sweep_scenario_in_worker(task: tuple[int, str]) -> np.ndarray:
+def _sweep_scenario_in_worker(
+    task: tuple[int, str],
+) -> tuple[np.ndarray, "SentinelFeed"]:
     """Worker entry: run one scenario against the primed baseline."""
     from repro.whatif.spec import parse_scenario
 
     assert _WORKER_UNIVERSE is not None, "pool initializer did not run"
-    config, _entries, baseline = _WORKER_UNIVERSE
+    config, _entries, baseline, traffic_series = _WORKER_UNIVERSE
     index, spec = task
     # One scenario per worker already saturates the pool; nested pools
     # inside overlay rebuilds would only thrash.  ``parallel`` does not
     # key the caches, so the primed entries still match.
     config = config.replace(parallel=False)
-    return scenario_block(config, index, parse_scenario(spec), baseline)
+    return scenario_block(
+        config, index, parse_scenario(spec), baseline, traffic_series
+    )
 
 
 def run_sweep(
@@ -314,34 +341,43 @@ def run_sweep(
         raise ValueError("a sweep needs at least one scenario")
 
     signals = compute_baseline_signals(study)
+    traffic_series = traffic_signal_series(study.traffic)
     config = study.config
 
     tasks = [(index, scenario.spec()) for index, scenario in enumerate(grid)]
     workers = resolve_worker_count(parallel, len(tasks))
-    blocks: list[np.ndarray] | None = None
+    results: list[tuple[np.ndarray, "SentinelFeed"]] | None = None
     if workers > 1:
         entries = {
             "census": {study._census_key(): study.census},
             "observatory": {study._observatory_key(): study.observatory},
         }
-        blocks = map_in_pool(
+        results = map_in_pool(
             _sweep_scenario_in_worker,
             tasks,
             workers,
             "whatif sweep",
             initializer=_init_sweep_worker,
-            initargs=((config, entries, signals),),
+            initargs=((config, entries, signals, traffic_series),),
         )
-    if blocks is None:
-        blocks = [
-            scenario_block(config, index, scenario, signals)
+    if results is None:
+        results = [
+            scenario_block(config, index, scenario, signals, traffic_series)
             for index, scenario in enumerate(grid)
         ]
+    # File every overlay's feed where OverlayStudy(study, spec).sentinel
+    # looks, so a later event ranking rebuilds nothing.
+    prime_caches({
+        "sentinel": {
+            OverlayStudy(config, scenario)._sentinel_key(): feed
+            for scenario, (_, feed) in zip(grid, results)
+        }
+    })
 
     frame = DeltaFrame.assemble(
         tuple(scenario.spec() for scenario in grid),
         signals.countries,
-        blocks,
+        (block for block, _ in results),
     )
     return WhatifSweep(scenarios=grid, frame=frame, baseline=signals)
 

@@ -180,3 +180,23 @@ class TestWorkerCount:
         assert resolve_worker_count(4, 10) == 4
         assert resolve_worker_count(4, 2) == 2  # never more workers than tasks
         assert resolve_worker_count(None, 0) == 1
+
+    def test_one_cpu_affinity_sizes_the_pool_to_one(self, monkeypatch):
+        """A ``taskset -c 0`` run (or a one-CPU cpuset) never oversubscribes."""
+        import repro.util.procpool as procpool_module
+
+        monkeypatch.setattr(
+            procpool_module.os, "sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        monkeypatch.setattr(procpool_module.os, "cpu_count", lambda: 8)
+        assert resolve_worker_count(None, 10) == 1
+        assert resolve_worker_count(True, 10) == 1
+        assert resolve_worker_count(4, 10) == 4  # an explicit count still pins
+
+    def test_cpu_count_is_the_fallback_without_affinity(self, monkeypatch):
+        import repro.util.procpool as procpool_module
+
+        monkeypatch.delattr(procpool_module.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(procpool_module.os, "cpu_count", lambda: 3)
+        assert resolve_worker_count(None, 10) == 3
+        assert resolve_worker_count(True, 2) == 2
