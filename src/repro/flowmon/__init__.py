@@ -7,8 +7,10 @@ byte accounting (``nf_conntrack_acct``), identifies flows by their 5-tuple
 (plus ICMP type/code/id), logs them daily, and uploads CryptoPAN-anonymized
 records to the collection server.
 
-Two representations of the same log coexist: the record-oriented daily
-lists the monitor appends to (the measurement path), and the columnar
+Three representations of the same log coexist: the record-oriented
+daily lists the monitor appends to (the measurement path), the packed
+columns of :mod:`repro.flowmon.pack` (what synthesized traffic is
+written to, what pickles and the warehouse carry), and the columnar
 :class:`~repro.flowmon.frame.FlowFrame` -- a NumPy structured array (day,
 scope, family, protocol, bytes in/out, packets, duration, interned peer /
 AS / domain ids) built once per monitor via :meth:`FlowMonitor.frame` and

@@ -5,11 +5,16 @@ what the paper's router monitor uploads: per-day lists of
 :class:`~repro.flowmon.conntrack.FlowRecord` objects.  That shape is
 right for the measurement path but wrong for the analysis path, where
 every table and figure re-aggregates the same nine months of flows.
-``FlowFrame`` converts the log once into parallel NumPy columns (day,
-scope, family, protocol, bytes in/out, packets, duration, start time,
-interned external-peer id) so every downstream group-by is a
+``FlowFrame`` holds the log as parallel NumPy columns (day, scope,
+family, protocol, bytes in/out, packets, duration, start time, interned
+external-peer id) so every downstream group-by is a
 ``np.bincount``/``np.add.at`` over integer codes instead of a Python
 loop over dataclasses.
+
+There is one construction path: :meth:`FlowFrame.from_packed` reads the
+packed log of :mod:`repro.flowmon.pack` with whole-column operations.
+The traffic generator writes that packed log directly, and
+:meth:`FlowFrame.from_monitor` lowers a record log to it first.
 
 Attribution (``peer -> origin AS``, ``peer -> rDNS eTLD+1 domain``) is
 computed once per *unique* external peer rather than once per record --
@@ -32,11 +37,11 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from repro.flowmon.monitor import FlowScope
-from repro.net.addr import IpAddress
+from repro.net.addr import Family, IpAddress
 from repro.net.psl import PublicSuffixList, default_psl
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.flowmon.monitor import FlowMonitor
+    from repro.flowmon.monitor import FlowMonitor, RouterConfig
     from repro.net.bgp import RoutingTable
     from repro.net.rdns import ReverseDns
 
@@ -68,6 +73,29 @@ _HOUR = 3600.0
 _DAY = 86400.0
 
 
+def _address(family: int, hi: int, lo: int) -> IpAddress:
+    return IpAddress(Family(family), (hi << 64) | lo)
+
+
+def _intern_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a 2-D key array, in order of first appearance,
+    and each row's index into them."""
+    if not len(keys):
+        return keys, np.zeros(0, dtype=np.int64)
+    order = np.lexsort(keys.T[::-1])  # stable: a group's first row leads it
+    ordered = keys[order]
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    group = np.cumsum(starts) - 1
+    first = order[starts]
+    by_appearance = np.argsort(first, kind="stable")
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[by_appearance] = np.arange(first.size)
+    ids = np.empty(len(keys), dtype=np.int64)
+    ids[order] = rank[group]
+    return keys[first[by_appearance]], ids
+
+
 @dataclass
 class FlowFrame:
     """One residence's flow log as parallel NumPy columns.
@@ -96,69 +124,75 @@ class FlowFrame:
 
     @classmethod
     def from_monitor(cls, monitor: "FlowMonitor") -> "FlowFrame":
-        """Build the core columns from a monitor's daily logs (one pass).
+        """Build the core columns from a monitor's daily logs.
 
-        Prefer :meth:`FlowMonitor.frame`, which caches the result and
-        invalidates it when new flows are observed.
+        Lowers the log with :func:`~repro.flowmon.pack.pack_daily_logs`
+        (free for a log that is still packed) and reads the columns with
+        :meth:`from_packed`.  Prefer :meth:`FlowMonitor.frame`, which
+        caches the result and invalidates it when new flows are observed.
         """
-        config = monitor.config
-        n = sum(
-            len(records)
-            for per_scope in monitor.daily_logs.values()
-            for records in per_scope.values()
+        from repro.flowmon.pack import pack_daily_logs
+
+        return cls.from_packed(pack_daily_logs(monitor.daily_logs), monitor.config)
+
+    @classmethod
+    def from_packed(
+        cls, packed: dict[str, np.ndarray], config: "RouterConfig"
+    ) -> "FlowFrame":
+        """Build the core columns from a packed log (:mod:`repro.flowmon.pack`).
+
+        Rows come segment by segment, segments stable-sorted by (day,
+        scope code) -- the ``records()`` order.  An external flow's peer
+        is its non-local endpoint (``config.is_local``, asked once per
+        distinct source address); peers are interned in order of first
+        appearance.
+        """
+        seg_count = packed["seg_count"]
+        seg_order = np.lexsort((packed["seg_scope"], packed["seg_day"]))
+        counts = seg_count[seg_order]
+        n = int(counts.sum())
+        seg_start = np.cumsum(seg_count) - seg_count
+        out_start = np.cumsum(counts) - counts
+        rows = np.arange(n, dtype=np.int64) + np.repeat(
+            seg_start[seg_order] - out_start, counts
         )
+
+        start = packed["start"][rows]
+        bytes_in = packed["bytes_in"][rows]
+        bytes_out = packed["bytes_out"][rows]
         data = np.empty(n, dtype=FLOW_DTYPE)
-        peer_ids: dict[IpAddress, int] = {}
-        peers: list[IpAddress] = []
+        data["day"] = start // _DAY
+        data["hour"] = start // _HOUR
+        data["scope"] = np.repeat(packed["seg_scope"][seg_order], counts)
+        data["family"] = packed["family"][rows]
+        data["protocol"] = packed["protocol"][rows]
+        data["bytes"] = bytes_in + bytes_out
+        data["bytes_in"] = bytes_in
+        data["bytes_out"] = bytes_out
+        data["packets"] = packed["packets_in"][rows] + packed["packets_out"][rows]
+        data["duration"] = packed["end"][rows] - start
+        data["start_time"] = start
+        data["peer"] = -1
 
-        day_col = data["day"]
-        hour_col = data["hour"]
-        scope_col = data["scope"]
-        family_col = data["family"]
-        proto_col = data["protocol"]
-        bytes_col = data["bytes"]
-        bin_col = data["bytes_in"]
-        bout_col = data["bytes_out"]
-        pkts_col = data["packets"]
-        dur_col = data["duration"]
-        start_col = data["start_time"]
-        peer_col = data["peer"]
-
-        external = SCOPE_CODES[FlowScope.EXTERNAL]
-        is_local = config.is_local
-        i = 0
-        for day in sorted(monitor.daily_logs):
-            per_scope = monitor.daily_logs[day]
-            for scope in FlowScope:
-                scope_code = SCOPE_CODES[scope]
-                for record in per_scope.get(scope, ()):
-                    key = record.key
-                    start = record.start_time
-                    bytes_in = record.bytes_in
-                    bytes_out = record.bytes_out
-                    day_col[i] = int(start // _DAY)
-                    hour_col[i] = int(start // _HOUR)
-                    scope_col[i] = scope_code
-                    family_col[i] = key.src.family.value
-                    proto_col[i] = key.protocol.value
-                    bytes_col[i] = bytes_in + bytes_out
-                    bin_col[i] = bytes_in
-                    bout_col[i] = bytes_out
-                    pkts_col[i] = record.packets_in + record.packets_out
-                    dur_col[i] = record.end_time - start
-                    start_col[i] = start
-                    if scope_code == external:
-                        peer = key.dst if is_local(key.src) else key.src
-                        peer_id = peer_ids.get(peer)
-                        if peer_id is None:
-                            peer_id = peer_ids[peer] = len(peers)
-                            peers.append(peer)
-                        peer_col[i] = peer_id
-                    else:
-                        peer_col[i] = -1
-                    i += 1
-        assert i == n, "daily logs changed during frame construction"
-        return cls(data=data, peers=tuple(peers))
+        external = np.flatnonzero(data["scope"] == SCOPE_CODES[FlowScope.EXTERNAL])
+        family = data["family"][external].astype(np.uint64)
+        src = np.stack(
+            [family, packed["src_hi"][rows[external]], packed["src_lo"][rows[external]]],
+            axis=1,
+        )
+        dst = np.stack(
+            [family, packed["dst_hi"][rows[external]], packed["dst_lo"][rows[external]]],
+            axis=1,
+        )
+        sources, source_of_row = _intern_rows(src)
+        src_local = np.array(
+            [config.is_local(_address(*key)) for key in sources.tolist()], dtype=bool
+        )
+        peers, peer_of_row = _intern_rows(
+            np.where(src_local[source_of_row][:, None], dst, src)
+        )
+        data["peer"][external] = peer_of_row
+        return cls(data=data, peers=tuple(_address(*key) for key in peers.tolist()))
 
     def with_attribution(
         self,

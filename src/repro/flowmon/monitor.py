@@ -81,6 +81,13 @@ class FlowMonitor:
     )
     _frame_cache: object = field(default=None, repr=False, compare=False)
 
+    def __reduce__(self):
+        # Every pickle (pool results, the store codec) ships the log as
+        # packed columns, not as a graph of records.
+        from repro.flowmon.pack import reduce_monitor
+
+        return reduce_monitor(self)
+
     def attach(self, table: ConntrackTable) -> None:
         table.subscribe(self._on_event)
 

@@ -1,12 +1,12 @@
-"""Columnar packing of the record-oriented flow log, for the warehouse.
+"""The packed flow log: one columnar format for generation, pickles and the store.
 
-A :class:`~repro.flowmon.monitor.FlowMonitor` at paper scale holds
+A :class:`~repro.flowmon.monitor.FlowMonitor` at paper scale would hold
 millions of :class:`~repro.flowmon.conntrack.FlowRecord` dataclasses;
-rebuilding that object graph is the dominant cost of warm-starting the
-traffic layer from disk, even though the analysis layer (post-PR 2)
-reads the columnar :class:`~repro.flowmon.frame.FlowFrame`, not the
-records.  This module makes the record log pay its reconstruction cost
-only when someone actually asks for records:
+building, pickling and rebuilding that object graph used to dominate
+traffic generation and warm starts alike, even though the analysis
+layer reads the columnar :class:`~repro.flowmon.frame.FlowFrame`, not
+the records.  This module keeps the log as flat columns and makes it
+pay the record cost only when someone actually asks for records:
 
 * :func:`pack_daily_logs` lowers ``monitor.daily_logs`` into flat NumPy
   columns (one row per record, plus a segment table preserving the
@@ -21,6 +21,16 @@ only when someone actually asks for records:
 Round-trip fidelity is exact: same days in the same order, same scopes
 per day in the same order, same records per scope in the same order,
 equal field-for-field -- pinned by ``tests/flowmon/test_pack.py``.
+
+The packed columns are also where synthesized traffic is born:
+:class:`PackedLogBuilder` appends one row per generated flow and
+:meth:`PackedLogBuilder.build` emits exactly the columns
+:func:`pack_daily_logs` would lower the equivalent record log to, so
+the traffic generator never allocates a ``FlowKey`` or ``FlowRecord``.
+A monitor built either way pickles as columns
+(:meth:`FlowMonitor.__reduce__ <repro.flowmon.monitor.FlowMonitor>`
+delegates to :func:`reduce_monitor`), which is how pool workers and the
+warehouse ship it.
 """
 
 from __future__ import annotations
@@ -30,8 +40,10 @@ from typing import Any
 import numpy as np
 
 from repro.flowmon.conntrack import FlowKey, FlowRecord, IcmpInfo, Protocol
-from repro.flowmon.monitor import FlowMonitor, FlowScope
+from repro.flowmon.frame import FlowFrame
+from repro.flowmon.monitor import FlowMonitor, FlowScope, RouterConfig
 from repro.net.addr import Family, IpAddress
+from repro.util.timeutil import DAY
 
 #: Scope <-> code, in declaration order (same codes as the FlowFrame).
 _SCOPES: tuple[FlowScope, ...] = tuple(FlowScope)
@@ -43,7 +55,13 @@ _U64 = (1 << 64) - 1
 def pack_daily_logs(
     daily_logs: dict[int, dict[FlowScope, list[FlowRecord]]],
 ) -> dict[str, np.ndarray]:
-    """Lower a daily log into flat columns plus a segment table."""
+    """Lower a daily log into flat columns plus a segment table.
+
+    A :class:`LazyDailyLogs` that is still packed hands back its own
+    columns without unpacking.
+    """
+    if isinstance(daily_logs, LazyDailyLogs) and not daily_logs.materialized:
+        return dict(daily_logs._packed)
     seg_day: list[int] = []
     seg_scope: list[int] = []
     seg_count: list[int] = []
@@ -218,9 +236,9 @@ class LazyDailyLogs(dict):
             super().update(unpack_daily_logs(packed))
 
     def __reduce__(self):
-        # Re-pickles (plain pickle, pool transfers) lower to an ordinary
-        # dict; the store codec re-packs through the monitor reducer
-        # before this would ever run.
+        # A log pickled on its own lowers to an ordinary dict; one inside
+        # a monitor never gets here, since FlowMonitor.__reduce__ ships
+        # the packed columns instead.
         self._materialize()
         return (dict, (), None, None, iter(self.items()))
 
@@ -253,11 +271,12 @@ for _name in (
 def reduce_monitor(monitor: FlowMonitor) -> tuple:
     """A pickle reduction that packs the record log columnarly.
 
-    Used by the store codec's ``reducer_override``: the packed arrays
-    ride the ``.npz`` payload, the cached frame (the analysis layer's
-    actual input) survives, and the transient ``records()`` memo is
-    dropped.  :func:`restore_monitor` rebuilds a monitor whose log is a
-    :class:`LazyDailyLogs`.
+    ``FlowMonitor.__reduce__`` delegates here, so every pickle of a
+    monitor -- pool results, the store codec -- ships columns: the
+    packed arrays ride the store's ``.npz`` payload, the cached frame
+    (the analysis layer's actual input) survives, and the transient
+    ``records()`` memo is dropped.  :func:`restore_monitor` rebuilds a
+    monitor whose log is a :class:`LazyDailyLogs`.
     """
     packed = pack_daily_logs(monitor.daily_logs)
     return (
@@ -291,3 +310,195 @@ def is_still_packed(monitor: FlowMonitor) -> bool:
     """True while the monitor's log is still packed (test/introspection)."""
     logs = monitor.daily_logs
     return isinstance(logs, LazyDailyLogs) and not logs.materialized
+
+
+class PackedLogBuilder:
+    """Synthesized flows, appended straight into the packed columns.
+
+    One :meth:`append` per finished flow, in the order a monitor
+    attached to a conntrack table would observe it.  :meth:`build`
+    classifies and groups the rows the way :meth:`FlowMonitor.observe`
+    files records (scope by :meth:`RouterConfig.is_local`, day by
+    ``start // DAY``, segments in first-appearance order), so its
+    columns are byte-identical to :func:`pack_daily_logs` of that
+    monitor's log.  The checks ``FlowKey``, ``IcmpInfo``, ``FlowRecord``
+    and ``day_index`` make per object run once over the columns and
+    raise the same :class:`ValueError` messages.
+    """
+
+    def __init__(self) -> None:
+        self._rows: list[tuple] = []
+
+    def append(
+        self,
+        protocol: Protocol,
+        src: IpAddress,
+        dst: IpAddress,
+        sport: int,
+        dport: int,
+        start: float,
+        end: float,
+        bytes_out: int,
+        bytes_in: int,
+        packets_out: int | None = None,
+        packets_in: int | None = None,
+        icmp: tuple[int, int, int] | None = None,
+    ) -> None:
+        """Log one finished flow.
+
+        Packet counts default to conntrack's estimate
+        (:meth:`ConntrackTable.observe_flow`); ``icmp`` is the
+        ``(type, code, id)`` an ICMP flow carries instead of ports.
+        """
+        if packets_out is None:
+            packets_out = max(1, bytes_out // 1400) if bytes_out else 0
+        if packets_in is None:
+            packets_in = max(1, bytes_in // 1400) if bytes_in else 0
+        icmp_type, icmp_code, icmp_id = icmp or (0, 0, 0)
+        self._rows.append((
+            protocol.value, src, dst, sport, dport, icmp is not None,
+            icmp_type, icmp_code, icmp_id, start, end,
+            bytes_out, bytes_in, packets_out, packets_in,
+        ))
+
+    def build(self, config: RouterConfig) -> FlowMonitor:
+        """The monitor these rows make: a still-packed log, its frame cached."""
+        n = len(self._rows)
+        (protocol, src, dst, sport, dport, has_icmp, icmp_type, icmp_code,
+         icmp_id, start, end, bytes_out, bytes_in, packets_out, packets_in,
+         ) = zip(*self._rows) if n else ((),) * 15
+
+        # Intern addresses; classify each distinct one once.
+        address_ids: dict[IpAddress, int] = {}
+        src_id = np.fromiter(
+            (address_ids.setdefault(a, len(address_ids)) for a in src), np.int64, n
+        )
+        dst_id = np.fromiter(
+            (address_ids.setdefault(a, len(address_ids)) for a in dst), np.int64, n
+        )
+        addresses = list(address_ids)
+        values = [a.value for a in addresses]
+        addr_family = np.array([a.family.value for a in addresses], dtype=np.uint8)
+        addr_hi = np.array([v >> 64 for v in values], dtype=np.uint64)
+        addr_lo = np.array([v & _U64 for v in values], dtype=np.uint64)
+        addr_local = np.array([config.is_local(a) for a in addresses], dtype=bool)
+
+        columns = {
+            "protocol": np.array(protocol, dtype=np.int64),
+            "sport": np.array(sport, dtype=np.int64),
+            "dport": np.array(dport, dtype=np.int64),
+            "has_icmp": np.array(has_icmp, dtype=bool),
+            "icmp_type": np.array(icmp_type, dtype=np.int64),
+            "icmp_code": np.array(icmp_code, dtype=np.int64),
+            "icmp_id": np.array(icmp_id, dtype=np.int64),
+            "start": np.array(start, dtype=np.float64),
+            "end": np.array(end, dtype=np.float64),
+            "bytes_out": np.array(bytes_out, dtype=np.int64),
+            "bytes_in": np.array(bytes_in, dtype=np.int64),
+            "packets_out": np.array(packets_out, dtype=np.int64),
+            "packets_in": np.array(packets_in, dtype=np.int64),
+        }
+        family = addr_family[src_id]
+        _check_rows(columns, family, addr_family[dst_id])
+
+        # FlowMonitor.classify, per row.
+        src_local = addr_local[src_id]
+        dst_local = addr_local[dst_id]
+        scope = np.full(n, _SCOPE_CODE[FlowScope.TRANSIT], dtype=np.int8)
+        scope[src_local | dst_local] = _SCOPE_CODE[FlowScope.EXTERNAL]
+        scope[src_local & dst_local] = _SCOPE_CODE[FlowScope.INTERNAL]
+        day = (columns["start"] // DAY).astype(np.int64)
+        order, seg_day, seg_scope, seg_count = _segments(day, scope)
+
+        has = columns["has_icmp"][order]
+        packed = {
+            "seg_day": seg_day,
+            "seg_scope": seg_scope,
+            "seg_count": seg_count,
+            "protocol": columns["protocol"][order].astype(np.uint8),
+            "family": family[order],
+            "src_hi": addr_hi[src_id][order],
+            "src_lo": addr_lo[src_id][order],
+            "dst_hi": addr_hi[dst_id][order],
+            "dst_lo": addr_lo[dst_id][order],
+            "sport": columns["sport"][order].astype(np.uint16),
+            "dport": columns["dport"][order].astype(np.uint16),
+            "icmp_type": np.where(has, columns["icmp_type"][order], -1).astype(np.int16),
+            "icmp_code": np.where(has, columns["icmp_code"][order], 0).astype(np.uint8),
+            "icmp_id": np.where(has, columns["icmp_id"][order], 0).astype(np.uint16),
+        }
+        for name in (
+            "start", "end", "bytes_out", "bytes_in", "packets_out", "packets_in"
+        ):
+            packed[name] = columns[name][order]
+        return restore_monitor(
+            config, packed, n, n, FlowFrame.from_packed(packed, config)
+        )
+
+
+def _check_rows(
+    columns: dict[str, np.ndarray], src_family: np.ndarray, dst_family: np.ndarray
+) -> None:
+    """The per-object validation of the record path, over whole columns."""
+    if np.any(src_family != dst_family):
+        raise ValueError("flow endpoints must share an address family")
+    is_icmp = columns["protocol"] == Protocol.ICMP.value
+    has_icmp = columns["has_icmp"]
+    icmp_type = columns["icmp_type"][has_icmp]
+    icmp_code = columns["icmp_code"][has_icmp]
+    if np.any((icmp_type < 0) | (icmp_type > 255) | (icmp_code < 0) | (icmp_code > 255)):
+        raise ValueError("ICMP type and code must fit in one byte")
+    icmp_id = columns["icmp_id"][has_icmp]
+    if np.any((icmp_id < 0) | (icmp_id > 0xFFFF)):
+        raise ValueError("ICMP id must fit in two bytes")
+    if np.any(is_icmp & ~has_icmp):
+        raise ValueError("ICMP flows must carry IcmpInfo")
+    ports = np.stack([columns["sport"], columns["dport"]], axis=1)
+    if np.any(is_icmp & (ports != 0).any(axis=1)):
+        raise ValueError("ICMP flows have no ports")
+    if np.any(~is_icmp & has_icmp):
+        raise ValueError("only ICMP flows carry IcmpInfo")
+    bad = ports[~is_icmp]
+    bad = bad[(bad < 0) | (bad > 0xFFFF)]
+    if bad.size:
+        raise ValueError(f"port {int(bad[0])} out of range")
+    start, end = columns["start"], columns["end"]
+    if np.any(end < start):
+        raise ValueError("flow cannot end before it starts")
+    for name in ("bytes_out", "bytes_in", "packets_out", "packets_in"):
+        if np.any(columns[name] < 0):
+            raise ValueError("counters cannot be negative")
+    if np.any(start < 0):
+        raise ValueError("timestamps before the sim epoch are not allowed")
+
+
+def _segments(
+    day: np.ndarray, scope: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Group rows into ``{day: {scope: [...]}}`` insertion-order segments.
+
+    Days come in order of first appearance, and within a day its scopes
+    in order of first appearance; rows keep their order inside each
+    segment.  Returns the row permutation and the segment table.
+    """
+    if not day.size:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, np.zeros(0, dtype=np.int8), empty
+    n_scopes = len(_SCOPES)
+    pairs, pair_first, pair_of_row = np.unique(
+        day * n_scopes + scope, return_index=True, return_inverse=True
+    )
+    days, day_first = np.unique(day, return_index=True)
+    pair_day_first = day_first[np.searchsorted(days, pairs // n_scopes)]
+    seg_order = np.lexsort((pair_first, pair_day_first))
+    seg_rank = np.empty(seg_order.size, dtype=np.int64)
+    seg_rank[seg_order] = np.arange(seg_order.size)
+    row_segment = seg_rank[pair_of_row]
+    order = np.argsort(row_segment, kind="stable")
+    segment_pairs = pairs[seg_order]
+    return (
+        order,
+        segment_pairs // n_scopes,
+        (segment_pairs % n_scopes).astype(np.int8),
+        np.bincount(row_segment, minlength=seg_order.size).astype(np.int64),
+    )

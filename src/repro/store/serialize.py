@@ -37,12 +37,12 @@ ARRAYS_FILE = "arrays.npz"
 class _ExternalizingPickler(pickle.Pickler):
     """Pickler that swaps ndarrays for persistent ids into an npz dict.
 
-    It also lowers :class:`~repro.flowmon.monitor.FlowMonitor` record
-    logs into packed columns (:mod:`repro.flowmon.pack`): the store's
-    copy of a traffic layer carries its millions of ``FlowRecord``
-    objects as a few NumPy columns in the ``.npz``, and a warm-started
-    session only rebuilds them if something actually reads records --
-    the analyses read the (equally persisted) frames instead.
+    A :class:`~repro.flowmon.monitor.FlowMonitor` pickles its record log
+    as packed columns (:mod:`repro.flowmon.pack`), so the store's copy
+    of a traffic layer carries its flows as a few NumPy columns in the
+    ``.npz``, and a warm-started session only rebuilds records if
+    something actually reads them -- the analyses read the (equally
+    persisted) frames instead.
     """
 
     def __init__(self, buffer: io.BytesIO, arrays: dict[str, np.ndarray]) -> None:
@@ -62,14 +62,6 @@ class _ExternalizingPickler(pickle.Pickler):
                 self._arrays[name] = obj
             return name
         return None
-
-    def reducer_override(self, obj: Any):
-        from repro.flowmon.monitor import FlowMonitor
-        from repro.flowmon.pack import reduce_monitor
-
-        if type(obj) is FlowMonitor:
-            return reduce_monitor(obj)
-        return NotImplemented
 
 
 class _ExternalizedUnpickler(pickle.Unpickler):

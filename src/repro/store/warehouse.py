@@ -4,6 +4,7 @@ A store is one directory::
 
     <root>/
       manifest.json                   # the index: schema + version stamps
+      manifest.lock                   # flock() target for index updates
       objects/<digest>/
           meta.json                   # kind, layer/name, key, file checksums
           payload.pkl                 # the pickled object graph (layers)
@@ -29,14 +30,16 @@ behind, and :func:`warm_start` bulk-primes a cold process from disk via
 from __future__ import annotations
 
 import dataclasses
+import fcntl
 import hashlib
 import json
 import os
 import shutil
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from repro.resilience.faults import corrupt_hook, fault_hook
 from repro.resilience.retry import STORE_POLICY, call_with_retry
@@ -162,6 +165,7 @@ class ArtifactStore:
         self.root = Path(root)
         self.objects_dir = self.root / "objects"
         self.manifest_path = self.root / "manifest.json"
+        self.lock_path = self.root / "manifest.lock"
 
     @property
     def exists(self) -> bool:
@@ -476,16 +480,33 @@ class ArtifactStore:
         self._set_gauges(indexed)
         return len(indexed), sum(info.get("bytes", 0) for info in indexed.values())
 
+    @contextmanager
+    def _manifest_locked(self) -> Iterator[None]:
+        """Hold the index lock across one read-modify-write of the manifest.
+
+        Sweep workers write behind to one store concurrently; without
+        the lock, two of them indexing at once could each write back a
+        manifest missing the other's entry.
+        """
+        self.root.mkdir(parents=True, exist_ok=True)
+        with open(self.lock_path, "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            try:
+                yield
+            finally:
+                fcntl.flock(lock, fcntl.LOCK_UN)
+
     def _index_entry(self, entry: StoreEntry) -> None:
-        manifest = self.manifest()
-        manifest["entries"][entry.digest] = {
-            "kind": entry.kind,
-            "name": entry.name,
-            "key": entry.key,
-            "bytes": entry.total_bytes,
-            "created_at": entry.created_at,
-        }
-        self._write_manifest(manifest)
+        with self._manifest_locked():
+            manifest = self.manifest()
+            manifest["entries"][entry.digest] = {
+                "kind": entry.kind,
+                "name": entry.name,
+                "key": entry.key,
+                "bytes": entry.total_bytes,
+                "created_at": entry.created_at,
+            }
+            self._write_manifest(manifest)
 
     # -- enumeration and maintenance ----------------------------------------
 
@@ -592,18 +613,19 @@ class ArtifactStore:
             if reason is not None:
                 shutil.rmtree(entry_dir)
                 removed.append(f"{entry_dir.name} ({reason})")
-        manifest = self.manifest()
-        manifest["entries"] = {
-            entry.digest: {
-                "kind": entry.kind,
-                "name": entry.name,
-                "key": entry.key,
-                "bytes": entry.total_bytes,
-                "created_at": entry.created_at,
+        with self._manifest_locked():
+            manifest = self.manifest()
+            manifest["entries"] = {
+                entry.digest: {
+                    "kind": entry.kind,
+                    "name": entry.name,
+                    "key": entry.key,
+                    "bytes": entry.total_bytes,
+                    "created_at": entry.created_at,
+                }
+                for entry in self.entries()
             }
-            for entry in self.entries()
-        }
-        self._write_manifest(manifest)
+            self._write_manifest(manifest)
         return removed
 
 

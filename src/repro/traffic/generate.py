@@ -1,12 +1,20 @@
-"""Flow synthesis: from household schedules to conntrack records.
+"""Flow synthesis: from household schedules to the router's flow log.
 
 :class:`TrafficGenerator` turns a :class:`ResidenceProfile` plus the
-:class:`ServiceUniverse` into nine months of flow records, pushed through
-the real measurement path: every connection runs Happy Eyeballs against
-the chosen server's addresses, every resulting flow (including cancelled
-extra SYNs) enters the :class:`ConntrackTable`, and the
-:class:`FlowMonitor` files it into daily logs -- exactly what the paper's
-router monitor records.
+:class:`ServiceUniverse` into nine months of finished flows: every
+connection runs Happy Eyeballs against the chosen server's addresses,
+and every resulting flow (including cancelled extra SYNs) is logged the
+way the paper's router monitor records it -- conntrack's accounting
+(one flow per 5-tuple, per-direction bytes, its bytes/1400 packet
+estimate) and the monitor's scope and day rules.  The flows are written
+straight to the packed columns of :mod:`repro.flowmon.pack` by a
+:class:`~repro.flowmon.pack.PackedLogBuilder`, so no per-flow key,
+record or conntrack event is allocated; the log unpacks into
+``FlowRecord`` objects only if something reads records.  A replay test
+(``tests/traffic/test_generate.py``) feeds every generated record
+through a fresh ``ConntrackTable`` and attached ``FlowMonitor`` and
+pins that the measurement path reproduces the generator's columns and
+frame byte for byte.
 
 Protocol choice is *emergent*, not assigned: a flow is IPv6 when the
 device has IPv6, the server fleet member is dual-stack, and IPv6 wins the
@@ -18,8 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.flowmon.conntrack import ConntrackTable, FlowKey, IcmpInfo, Protocol
+from repro.flowmon.conntrack import Protocol
 from repro.flowmon.monitor import FlowMonitor, FlowScope, RouterConfig
+from repro.flowmon.pack import PackedLogBuilder
 from repro.happyeyeballs.algorithm import (
     HappyEyeballs,
     HappyEyeballsConfig,
@@ -178,11 +187,7 @@ class TrafficGenerator:
             raise ValueError("num_days must be >= 1")
         self._sport = self.SPORT_BASE
         devices = profile.build_devices()
-        monitor = FlowMonitor(
-            RouterConfig(name=profile.name, lan_v4=profile.lan_v4, lan_v6=profile.lan_v6)
-        )
-        table = ConntrackTable()
-        monitor.attach(table)
+        log = PackedLogBuilder()
         activity = profile.activity_model()
         rng = RngStream(self.seed, f"residence:{profile.name}")
 
@@ -197,16 +202,20 @@ class TrafficGenerator:
             for start in activity.human_session_times(day, day_rng):
                 device = self._pick_device(interactive, day_rng)
                 service = day_rng.weighted_choice(*human_services)
-                self._run_session(table, profile, device, service, start, day_rng)
+                self._run_session(log, profile, device, service, start, day_rng)
             for start in activity.background_session_times(day, day_rng):
                 device = self._pick_device(devices, day_rng)
                 service = day_rng.weighted_choice(*background_services)
-                self._run_session(table, profile, device, service, start, day_rng)
-            self._run_internal_sessions(table, profile, devices, day, day_rng)
+                self._run_session(log, profile, device, service, start, day_rng)
+            self._run_internal_sessions(log, profile, devices, day, day_rng)
 
         return ResidenceDataset(
             profile=profile,
-            monitor=monitor,
+            monitor=log.build(
+                RouterConfig(
+                    name=profile.name, lan_v4=profile.lan_v4, lan_v6=profile.lan_v6
+                )
+            ),
             universe=self.universe,
             num_days=num_days,
             devices=devices,
@@ -294,7 +303,7 @@ class TrafficGenerator:
 
     def _run_session(
         self,
-        table: ConntrackTable,
+        log: PackedLogBuilder,
         profile: ResidenceProfile,
         device: Device,
         service: ServiceProfile,
@@ -302,7 +311,7 @@ class TrafficGenerator:
         rng: RngStream,
     ) -> None:
         if rng.bernoulli(ICMP_PROBE_PROB) and service.kind is ApplicationKind.BACKGROUND:
-            self._run_icmp_probe(table, device, service, start, rng)
+            self._run_icmp_probe(log, device, service, start, rng)
             return
         shape = service.shape
         flow_count = max(1, rng.poisson(shape.flows_per_session))
@@ -310,11 +319,11 @@ class TrafficGenerator:
         for _ in range(flow_count):
             flow_start = start + offset
             offset += rng.exponential(5.0)
-            self._run_connection(table, profile, device, service, flow_start, rng)
+            self._run_connection(log, profile, device, service, flow_start, rng)
 
     def _run_connection(
         self,
-        table: ConntrackTable,
+        log: PackedLogBuilder,
         profile: ResidenceProfile,
         device: Device,
         service: ServiceProfile,
@@ -330,7 +339,7 @@ class TrafficGenerator:
         duration = rng.uniform(low, high)
         protocol = Protocol.UDP if rng.bernoulli(shape.udp_fraction) else Protocol.TCP
         self._record_flow(
-            table,
+            log,
             device=device,
             server=server,
             family=family,
@@ -347,7 +356,7 @@ class TrafficGenerator:
             if rng.bernoulli(profile.dual_syn_probability):
                 other = Family.V4 if family is Family.V6 else Family.V6
                 self._record_flow(
-                    table,
+                    log,
                     device=device,
                     server=server,
                     family=other,
@@ -384,7 +393,7 @@ class TrafficGenerator:
 
     def _record_flow(
         self,
-        table: ConntrackTable,
+        log: PackedLogBuilder,
         device: Device,
         server: ServerEndpoint,
         family: Family | None,
@@ -401,18 +410,17 @@ class TrafficGenerator:
         dst = server.v4 if family is Family.V4 else server.v6
         if src is None or dst is None:  # pragma: no cover - guarded upstream
             return
-        key = FlowKey(protocol, src, dst, self._next_sport(), dport)
-        table.observe_flow(
-            key,
-            start_time=start,
-            end_time=start + duration,
+        log.append(
+            protocol, src, dst, self._next_sport(), dport,
+            start=start,
+            end=start + duration,
             bytes_out=bytes_out,
             bytes_in=bytes_in,
         )
 
     def _run_icmp_probe(
         self,
-        table: ConntrackTable,
+        log: PackedLogBuilder,
         device: Device,
         service: ServiceProfile,
         start: float,
@@ -424,24 +432,22 @@ class TrafficGenerator:
         dst = server.v6 if use_v6 else server.v4
         if src is None or dst is None:
             return
-        key = FlowKey(
-            Protocol.ICMP, src, dst,
-            icmp=IcmpInfo(icmp_type=8, icmp_code=0, icmp_id=rng.randint(0, 0xFFFF)),
-        )
+        icmp = (8, 0, rng.randint(0, 0xFFFF))  # echo request: type, code, id
         probes = rng.randint(1, 5)
-        table.observe_flow(
-            key,
-            start_time=start,
-            end_time=start + probes,
+        log.append(
+            Protocol.ICMP, src, dst, 0, 0,
+            start=start,
+            end=start + probes,
             bytes_out=64 * probes,
             bytes_in=64 * probes,
             packets_out=probes,
             packets_in=probes,
+            icmp=icmp,
         )
 
     def _run_internal_sessions(
         self,
-        table: ConntrackTable,
+        log: PackedLogBuilder,
         profile: ResidenceProfile,
         devices: list[Device],
         day: int,
@@ -471,11 +477,10 @@ class TrafficGenerator:
                 dst = second.address(family)
                 if src is None or dst is None:  # pragma: no cover
                     continue
-                key = FlowKey(protocol, src, dst, self._next_sport(), 445)
-                table.observe_flow(
-                    key,
-                    start_time=start,
-                    end_time=start + rng.uniform(5.0, 300.0),
+                log.append(
+                    protocol, src, dst, self._next_sport(), 445,
+                    start=start,
+                    end=start + rng.uniform(5.0, 300.0),
                     bytes_out=volume // 2,
                     bytes_in=volume - volume // 2,
                 )
@@ -492,7 +497,9 @@ def _generate_residence(
     Rebuilds the (deterministic) service universe from the pickled
     catalog, so only the catalog, profile, and scalars cross the process
     boundary on the way in and only the monitor and devices on the way
-    out.  Because every residence draws from the RNG substream
+    out -- the monitor as its packed columns and cached frame
+    (:func:`repro.flowmon.pack.reduce_monitor`), never as records.
+    Because every residence draws from the RNG substream
     ``(seed, "residence:<name>")``, the result is bit-identical to the
     sequential path.
     """

@@ -30,6 +30,7 @@ determinism survives the crash.  Resubmissions are recorded in
 from __future__ import annotations
 
 import errno
+import math
 import os
 import pickle
 import warnings
@@ -139,6 +140,34 @@ def reset_pool_fallback_warnings() -> None:
     _RESUBMITTED.clear()
 
 
+#: The cgroup v2 CPU bandwidth limit of this process's cgroup:
+#: ``"<quota> <period>"`` in microseconds, or ``"max <period>"``.
+CGROUP_CPU_MAX = "/sys/fs/cgroup/cpu.max"
+
+
+def read_cgroup_cpu_max() -> str | None:
+    """The text of :data:`CGROUP_CPU_MAX`, or ``None`` if unreadable."""
+    try:
+        with open(CGROUP_CPU_MAX) as handle:
+            return handle.read()
+    except OSError:
+        return None
+
+
+def cgroup_cpu_limit() -> int | None:
+    """CPUs a cgroup v2 quota allows (``ceil(quota / period)``), or
+    ``None`` when there is no numeric quota to honour."""
+    text = read_cgroup_cpu_max()
+    fields = text.split() if text else []
+    try:
+        quota, period = int(fields[0]), int(fields[1])
+    except (IndexError, ValueError):  # "max", a missing or garbled file
+        return None
+    if quota <= 0 or period <= 0:
+        return None
+    return math.ceil(quota / period)
+
+
 def resolve_worker_count(parallel: bool | int | None, num_tasks: int) -> int:
     """Worker-process count for a fan-out of ``num_tasks`` independent tasks.
 
@@ -147,12 +176,16 @@ def resolve_worker_count(parallel: bool | int | None, num_tasks: int) -> int:
     the sequential path, and an ``int`` pins the count; never more
     workers than tasks.  Usable CPUs are this process's affinity mask
     (which cpuset cgroups and ``taskset`` narrow) where the platform
-    has one, else ``os.cpu_count()``.
+    has one, else ``os.cpu_count()``, capped by a cgroup v2 CPU quota
+    (:func:`cgroup_cpu_limit`) when one is set.
     """
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
+    limit = cgroup_cpu_limit()
+    if limit is not None:
+        cpus = min(cpus, limit)
     if parallel is None:
         wanted = cpus if cpus > 1 else 1
     elif parallel is True:

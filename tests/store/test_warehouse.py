@@ -180,3 +180,85 @@ class TestIntegrity:
         assert any("manifest indexes missing" in p for p in store.verify())
         store.gc()
         assert store.verify() == []
+
+
+class TestConcurrentIndexing:
+    def test_paused_writer_does_not_drop_a_concurrent_entry(self, tmp_path):
+        """Writer A is paused between reading and writing the manifest
+        while writer B indexes its own entry; both entries survive."""
+        import threading
+
+        first = ArtifactStore(tmp_path)
+        second = ArtifactStore(tmp_path)
+        read_done = threading.Event()
+        resume = threading.Event()
+        write_manifest = first._write_manifest
+
+        def paused_write(manifest):
+            read_done.set()
+            assert resume.wait(10)
+            write_manifest(manifest)
+
+        first._write_manifest = paused_write
+        writer_a = threading.Thread(
+            target=first.save_layer, args=("census", ("census", 1), make_carrier())
+        )
+        writer_a.start()
+        assert read_done.wait(10)
+        writer_b = threading.Thread(
+            target=second.save_layer, args=("census", ("census", 2), make_carrier())
+        )
+        writer_b.start()
+        # Unlocked, B's whole read-modify-write finishes here; locked, B
+        # waits for A.  Either way A then writes what it read.
+        writer_b.join(timeout=0.5)
+        resume.set()
+        writer_a.join(10)
+        writer_b.join(10)
+        assert not writer_a.is_alive() and not writer_b.is_alive()
+
+        indexed = set(json.loads((tmp_path / "manifest.json").read_text())["entries"])
+        assert indexed == {
+            digest_key("layer", "census", ("census", 1)),
+            digest_key("layer", "census", ("census", 2)),
+        }
+        assert first.verify() == []
+
+    def test_many_concurrent_writer_processes_lose_no_entry(self, tmp_path):
+        """More writer processes than cores, each indexing several
+        entries into one store at once: every entry stays indexed."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        writers, per_writer = 2 * (os.cpu_count() or 1) + 2, 6
+        script = (
+            "import sys\n"
+            "from repro.store import ArtifactStore\n"
+            "store = ArtifactStore(sys.argv[1])\n"
+            "for index in range(int(sys.argv[3])):\n"
+            "    key = ('table1', int(sys.argv[2]), index)\n"
+            "    store.save_artifact('table1', key, {'rows': []})\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).parents[2] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            part for part in (src, env.get("PYTHONPATH")) if part
+        )
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", script, str(tmp_path), str(w), str(per_writer)],
+                env=env,
+            )
+            for w in range(writers)
+        ]
+        try:
+            codes = [proc.wait(timeout=120) for proc in procs]
+        finally:
+            for proc in procs:
+                proc.kill()
+        assert codes == [0] * writers
+        store = ArtifactStore(tmp_path)
+        assert len(store.manifest()["entries"]) == writers * per_writer
+        assert store.verify() == []

@@ -83,6 +83,17 @@ class TestParallelDeterminism:
         for dataset in datasets.values():
             assert dataset.universe is universe
 
+    def test_workers_ship_packed_columns(self, universe):
+        """A pool result arrives as columns: no record was rebuilt."""
+        from repro.flowmon.pack import is_still_packed
+
+        profiles = build_paper_residences()[:2]
+        datasets = TrafficGenerator(universe, seed=5).generate_all(
+            profiles, num_days=2, parallel=2
+        )
+        for dataset in datasets.values():
+            assert is_still_packed(dataset.monitor)
+
 
 class TestPoolFallbackWarning:
     def test_broken_pool_warns_once_and_falls_back(self, universe, monkeypatch):

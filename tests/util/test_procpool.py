@@ -174,6 +174,13 @@ class TestShardResubmission:
 
 
 class TestWorkerCount:
+    @pytest.fixture(autouse=True)
+    def _no_host_quota(self, monkeypatch):
+        """Size from the patched CPUs below, not the host's own cgroup."""
+        import repro.util.procpool as procpool_module
+
+        monkeypatch.setattr(procpool_module, "read_cgroup_cpu_max", lambda: None)
+
     def test_resolution_contract_unchanged(self):
         assert resolve_worker_count(False, 10) == 1
         assert resolve_worker_count(0, 10) == 1
@@ -200,3 +207,37 @@ class TestWorkerCount:
         monkeypatch.setattr(procpool_module.os, "cpu_count", lambda: 3)
         assert resolve_worker_count(None, 10) == 3
         assert resolve_worker_count(True, 2) == 2
+
+    @pytest.mark.parametrize(
+        ("cpu_max", "auto", "everything"),
+        [
+            ("50000 100000\n", 1, 1),  # half a CPU
+            ("150000 100000\n", 2, 2),  # 1.5 CPUs round up
+            ("max 100000\n", 4, 4),  # no quota: the affinity count
+            (None, 4, 4),  # missing or unreadable file
+            ("garbled\n", 4, 4),
+        ],
+    )
+    def test_cgroup_quota_caps_usable_cpus(self, monkeypatch, cpu_max, auto, everything):
+        import repro.util.procpool as procpool_module
+
+        monkeypatch.setattr(
+            procpool_module.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+            raising=False,
+        )
+        monkeypatch.setattr(procpool_module, "read_cgroup_cpu_max", lambda: cpu_max)
+        assert resolve_worker_count(None, 10) == auto
+        assert resolve_worker_count(True, 10) == everything
+        assert resolve_worker_count(3, 10) == 3  # an explicit count still pins
+
+
+class TestCgroupQuotaFile:
+    def test_unreadable_cpu_max_means_no_cap(self, monkeypatch, tmp_path):
+        import repro.util.procpool as procpool_module
+
+        monkeypatch.setattr(procpool_module, "CGROUP_CPU_MAX", str(tmp_path / "absent"))
+        assert procpool_module.read_cgroup_cpu_max() is None
+        assert procpool_module.cgroup_cpu_limit() is None
+        (tmp_path / "cpu.max").write_text("250000 100000\n")
+        monkeypatch.setattr(procpool_module, "CGROUP_CPU_MAX", str(tmp_path / "cpu.max"))
+        assert procpool_module.cgroup_cpu_limit() == 3
